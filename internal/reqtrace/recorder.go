@@ -67,15 +67,23 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 }
 
 // Complete records one finalized trace — the Trace.OnDone target. Slow
-// or errored traces are additionally dumped as Chrome-trace JSON.
+// or errored traces are first dumped as Chrome-trace JSON; the trace
+// enters the ring (and Recorded counts it) only after that dump
+// attempt, so a trace visible through Get or counted by Recorded has
+// its dump file, if any, already in place.
 func (r *Recorder) Complete(t *Trace) {
+	r.maybeDump(t)
 	r.mu.Lock()
 	r.ring[r.next] = t
 	r.next = (r.next + 1) % len(r.ring)
 	r.total++
 	r.mu.Unlock()
 	r.recorded.Add(1)
+}
 
+// maybeDump writes t's Chrome-trace dump when a dump directory is set,
+// t is slow or errored, and the dump budget is not spent.
+func (r *Recorder) maybeDump(t *Trace) {
 	if r.cfg.Dir == "" {
 		return
 	}

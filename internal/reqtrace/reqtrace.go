@@ -503,8 +503,16 @@ type ctxKey struct{}
 // the Trace (root) or the ActiveSpan (children) — so deriving a traced
 // context never boxes a value into an interface.
 type spanRef struct {
-	t      *Trace
-	parent SpanID
+	t       *Trace
+	parent  SpanID
+	mirrors []Ref // further parents a span started here is copied under
+}
+
+// Ref names a place in a request trace: the span new work parents
+// under.
+type Ref struct {
+	Trace  *Trace
+	Parent SpanID
 }
 
 // NewContext returns ctx carrying the trace with the root span as the
@@ -524,6 +532,25 @@ func ContextWithParent(ctx context.Context, t *Trace, parent SpanID) context.Con
 		return ctx
 	}
 	return context.WithValue(ctx, ctxKey{}, &spanRef{t: t, parent: parent})
+}
+
+// ContextShared returns ctx carrying refs[0] as the active trace and
+// current parent, with every other ref as a mirror: a span started or
+// added on the returned context is also recorded, with the same name,
+// timing, attributes and error, under each mirror. That is how one
+// operation done for several requests (a group commit covering all
+// their records) shows up in every request's span tree. Descendants of
+// a mirrored span record in refs[0]'s trace only. With no refs ctx is
+// returned unchanged.
+func ContextShared(ctx context.Context, refs []Ref) context.Context {
+	if len(refs) == 0 {
+		return ctx
+	}
+	sr := &spanRef{t: refs[0].Trace, parent: refs[0].Parent}
+	if len(refs) > 1 {
+		sr.mirrors = refs[1:]
+	}
+	return context.WithValue(ctx, ctxKey{}, sr)
 }
 
 // FromContext returns the active trace and current parent span, or
@@ -556,6 +583,7 @@ type ActiveSpan struct {
 	attrBuf  [spanInlineAttrs]Attr
 	spill    []Attr // overflow past attrBuf (rare)
 	err      string
+	mirrors  []Ref // see ContextShared
 }
 
 // StartSpan opens a child span of the context's current parent and
@@ -580,7 +608,7 @@ func StartLeaf(ctx context.Context, name string, attrs ...Attr) *ActiveSpan {
 	}
 	sp := &ActiveSpan{
 		t: sc.t, id: sc.t.newSpanID(), parent: sc.parent,
-		name: name, start: time.Now(),
+		name: name, start: time.Now(), mirrors: sc.mirrors,
 	}
 	sp.childRef = spanRef{t: sc.t, parent: sp.id}
 	sp.SetAttr(attrs...)
@@ -609,6 +637,9 @@ func (s *ActiveSpan) SetError(err error) {
 	}
 	s.err = err.Error()
 	s.t.SetError(s.err)
+	for _, m := range s.mirrors {
+		m.Trace.SetError(s.err)
+	}
 }
 
 // ID returns the span's ID (zero for the no-op span).
@@ -635,6 +666,15 @@ func (s *ActiveSpan) End() {
 		Start: s.start, Dur: now.Sub(s.start), Err: s.err,
 	}, attrs)
 	s.t.mu.Unlock()
+	for _, m := range s.mirrors {
+		id := m.Trace.newSpanID()
+		m.Trace.mu.Lock()
+		m.Trace.addLocked(Span{
+			ID: id, Parent: m.Parent, Name: s.name,
+			Start: s.start, Dur: now.Sub(s.start), Err: s.err,
+		}, attrs)
+		m.Trace.mu.Unlock()
+	}
 }
 
 // AddSpan records an already-timed span under the context's current
@@ -646,4 +686,7 @@ func AddSpan(ctx context.Context, name string, start time.Time, dur time.Duratio
 		return
 	}
 	sc.t.AddCompleted(sc.parent, name, start, dur, attrs...)
+	for _, m := range sc.mirrors {
+		m.Trace.AddCompleted(m.Parent, name, start, dur, attrs...)
+	}
 }

@@ -192,6 +192,49 @@ func TestContextPropagation(t *testing.T) {
 	}
 }
 
+func TestContextSharedMirrorsSpans(t *testing.T) {
+	a := New(StartOptions{Method: "POST", Route: "/v1/traces"})
+	b := New(StartOptions{Method: "POST", Route: "/v1/traces"})
+	bParent := b.AddCompleted(b.Root(), "item", time.Now(), time.Millisecond)
+	ctx := ContextShared(context.Background(), []Ref{
+		{Trace: a, Parent: a.Root()}, {Trace: b, Parent: bParent},
+	})
+	if got, parent, ok := FromContext(ctx); !ok || got != a || parent != a.Root() {
+		t.Fatal("a shared context's active trace must be the first ref")
+	}
+	sp := StartLeaf(ctx, "store.commit", Str("kind", "outcomes"))
+	sp.SetError(errors.New("disk full"))
+	sp.End()
+	a.FinishRoot(200)
+	b.FinishRoot(200)
+
+	find := func(tr *Trace) Span {
+		for _, s := range tr.Spans() {
+			if s.Name == "store.commit" {
+				return s
+			}
+		}
+		t.Fatal("store.commit span missing")
+		return Span{}
+	}
+	sa, sb := find(a), find(b)
+	if sa.Parent != a.Root() || sb.Parent != bParent {
+		t.Fatal("each copy must parent under its own ref")
+	}
+	if sa.Start != sb.Start || sa.Dur != sb.Dur || sb.Err != "disk full" {
+		t.Fatalf("mirror differs: %+v vs %+v", sa, sb)
+	}
+	if len(sb.Attrs) != 1 || sb.Attrs[0].Value != "outcomes" {
+		t.Fatalf("mirror attrs = %v", sb.Attrs)
+	}
+	if !a.Errored() || !b.Errored() {
+		t.Fatal("the shared span's error must mark every trace")
+	}
+	if ContextShared(context.Background(), nil) != context.Background() {
+		t.Fatal("no refs must leave the context unchanged")
+	}
+}
+
 func TestUntracedContextIsFree(t *testing.T) {
 	ctx := context.Background()
 	ctx2, sp := StartSpan(ctx, "x")

@@ -110,10 +110,10 @@ func (s *Server) readMultipartUploads(r *http.Request) ([]upload, []IngestItem, 
 }
 
 // handleIngestBatch ingests many traces in one request. All blobs are
-// decoded first, then persisted through store.PutTraceBatch — a single
-// staged write acknowledged by one group-committed fsync — and finally
-// queued for categorization with the same per-item semantics as the
-// single-trace endpoint (cached / pending / accepted / rejected).
+// decoded first, then persisted through store.PutTraceBatchKeyedCtx —
+// a single staged write acknowledged by one group-committed fsync — and
+// finally queued for categorization with the same per-item semantics as
+// the single-trace endpoint (cached / pending / accepted / rejected).
 func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.ingestSecs.Observe(time.Since(start).Seconds()) }()
@@ -168,6 +168,7 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 	items = append(items, bad...)
 	var (
 		jobs  []decoded
+		ids   []store.TraceID
 		blobs [][]byte
 	)
 	for _, up := range ups {
@@ -183,13 +184,15 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		items = append(items, IngestItem{Name: up.name, ID: id})
 		jobs = append(jobs, decoded{item: len(items) - 1, job: job})
+		ids = append(ids, id)
 		blobs = append(blobs, canonical)
 	}
 	if len(blobs) > 0 {
 		// Durability before acknowledgment, amortized: one write, one
 		// group-committed fsync for the entire batch (traced as one
-		// store.commit span covering every frame).
-		if _, _, err := s.st.PutTraceBatchCtx(r.Context(), blobs); err != nil {
+		// store.commit span covering every frame). TraceKey already
+		// hashed every blob, so the keyed put skips a second pass.
+		if _, err := s.st.PutTraceBatchKeyedCtx(r.Context(), ids, blobs); err != nil {
 			for _, d := range jobs {
 				items[d.item].Status = StatusRejected
 				items[d.item].Error = err.Error()

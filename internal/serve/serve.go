@@ -539,45 +539,140 @@ func (s *Server) failureOf(id store.TraceID) (string, bool) {
 	return r, ok
 }
 
-// worker drains the ingest queue: each trace runs through the engine
-// pipeline (funnel validation + categorization, observed by the
-// telemetry bundle when configured), and the result is persisted and
-// indexed. Workers exit when the queue is closed and drained, or when
-// the run context is cancelled (forced shutdown).
+// maxGroup bounds how many queued traces one worker takes into a
+// single outcome commit, so a deep queue is still shared among the
+// workers and one failed commit fails a bounded group.
+const maxGroup = 64
+
+// worker drains the ingest queue. It blocks for one trace, then also
+// takes whatever else is already queued — without waiting for more —
+// so traces that piled up while it was busy share one durable commit
+// (processGroup). Workers exit when the queue is closed and drained,
+// or when the run context is cancelled (forced shutdown).
 func (s *Server) worker() {
 	defer s.workerWG.Done()
+	group := make([]ingestJob, 0, maxGroup)
 	for {
 		select {
 		case item, ok := <-s.queue:
 			if !ok {
 				return
 			}
-			s.queueDepth.Dec()
-			s.process(item)
+			group = append(group[:0], item)
+		drain:
+			for len(group) < maxGroup {
+				select {
+				case item, ok := <-s.queue:
+					if !ok {
+						break drain
+					}
+					group = append(group, item)
+				default:
+					break drain
+				}
+			}
+			s.queueDepth.Add(-float64(len(group)))
+			s.processGroup(group)
+			clear(group)
 		case <-s.runCtx.Done():
 			return
 		}
 	}
 }
 
-// process categorizes one queued trace through the engine pipeline.
-// For traced jobs it resumes the request's trace across the queue
-// boundary — on the server's run context, never the (long-cancelled)
-// request context — recording the queue wait, a worker span covering
-// the engine run, the engine's per-stage spans, the result's group
-// commit, and the index update, then releases the reference held at
-// enqueue so the trace can finalize into the flight recorder.
-func (s *Server) process(item ingestJob) {
-	defer s.unmarkPending(item.id)
+// categorized is one trace of a worker's group that produced a result
+// and awaits the group's commit: the context its later spans record
+// under, and what is needed to publish it.
+type categorized struct {
+	ctx   context.Context
+	reqID string
+	enq   time.Time
+}
+
+// processGroup categorizes a worker's group of queued traces one by
+// one, persists every outcome (result plus explanation) with one
+// store.PutOutcomes — one write, one durable commit — and only then
+// indexes each trace, pushes its result to the replicas, and releases
+// its pending mark. A trace whose categorization fails fails alone; a
+// failed commit fails the whole group, whose blobs are already durable,
+// so the next startup's backfill heals them. Traced jobs resume their
+// request's trace across the queue boundary (see categorize); the
+// shared commit is recorded as a "store.commit" span in every traced
+// request's tree, each trace's index update in its own. The reference
+// each traced job held since enqueue is released at the end, so the
+// trace can finalize into the flight recorder.
+func (s *Server) processGroup(group []ingestJob) {
+	defer func() {
+		for _, item := range group {
+			if item.t != nil {
+				item.t.Release()
+			}
+			s.unmarkPending(item.id)
+		}
+	}()
+	var (
+		outs []store.Outcome
+		done []categorized
+		refs []reqtrace.Ref
+	)
+	for _, item := range group {
+		ctx, out, ok := s.categorize(item)
+		if !ok {
+			continue
+		}
+		outs = append(outs, out)
+		done = append(done, categorized{ctx: ctx, reqID: item.reqID, enq: item.enq})
+		if item.t != nil {
+			refs = append(refs, reqtrace.Ref{Trace: item.t, Parent: item.parent})
+		}
+	}
+	if len(outs) == 0 || s.runCtx.Err() != nil {
+		return // forced shutdown: trace blobs are durable, next startup backfills
+	}
+	sizes, err := s.st.PutOutcomes(reqtrace.ContextShared(s.runCtx, refs), s.fp, outs)
+	if err != nil {
+		for i, o := range outs {
+			s.recordFailure(o.ID, err.Error())
+			if s.log != nil {
+				s.log.Error("persisting result failed", "request_id", done[i].reqID, "id", string(o.ID), "err", err)
+			}
+		}
+		return
+	}
+	for i, o := range outs {
+		if o.Explanation != nil {
+			s.exMetrics.Observe(o.Explanation.EvidenceCount(), o.Explanation.NearMissCount(), sizes[i])
+		}
+		s.cacheMisses.Inc()
+		s.ix.AddCtx(done[i].ctx, o.ID, o.Result.Categories)
+		if s.cluster != nil {
+			// Replicas never re-categorize: ship them the result.
+			s.cluster.pushResult(done[i].reqID, o.ID)
+		}
+		if s.log != nil {
+			s.log.Debug("trace categorized", "request_id", done[i].reqID, "id", string(o.ID),
+				"categories", len(o.Result.Categories), "since_enqueue", time.Since(done[i].enq))
+		}
+	}
+}
+
+// categorize runs one queued trace through the engine pipeline (funnel
+// validation + categorization, observed by the telemetry bundle when
+// configured). For a traced job it resumes the request's trace on the
+// server's run context — never the (long-cancelled) request context —
+// recording the queue wait and a worker span covering the engine run
+// and its per-stage spans. It returns the context the trace's later
+// spans record under and its outcome; false when the trace produced no
+// result (the failure is recorded) or the server is shutting down.
+func (s *Server) categorize(item ingestJob) (context.Context, store.Outcome, bool) {
 	wait := time.Since(item.enq)
 	s.queueWaitSecs.Observe(wait.Seconds())
 	ctx := s.runCtx
 	if item.t != nil {
-		defer item.t.Release()
 		item.t.AddCompleted(item.parent, "queue.wait", item.enq, wait)
 		ctx = reqtrace.ContextWithParent(s.runCtx, item.t, item.parent)
 	}
-	ctx, wsp := reqtrace.StartSpan(ctx, "worker.categorize", reqtrace.Str("trace", string(item.id)))
+	wctx, wsp := reqtrace.StartSpan(ctx, "worker.categorize", reqtrace.Str("trace", string(item.id)))
 	defer wsp.End()
 	start := time.Now()
 	opts := engine.Options{
@@ -595,56 +690,27 @@ func (s *Server) process(item ingestJob) {
 			opts.Observer = spans
 		}
 	}
-	res, err := engine.Run(ctx, engine.Jobs([]*darshan.Job{item.job}), opts)
+	res, err := engine.Run(wctx, engine.Jobs([]*darshan.Job{item.job}), opts)
 	s.categorizeSecs.Observe(time.Since(start).Seconds())
 	switch {
 	case s.runCtx.Err() != nil:
-		return // forced shutdown: trace blob is durable, next startup backfills
+		return nil, store.Outcome{}, false
 	case err != nil:
 		wsp.SetError(err)
 		s.recordFailure(item.id, err.Error())
 		if s.log != nil {
 			s.log.Warn("categorization failed", "request_id", item.reqID, "id", string(item.id), "err", err)
 		}
-		return
+		return nil, store.Outcome{}, false
 	case len(res.Apps) == 0:
 		s.recordFailure(item.id, "evicted by the funnel (corrupted or invalid trace)")
 		if s.log != nil {
 			s.log.Warn("trace evicted by funnel", "request_id", item.reqID, "id", string(item.id))
 		}
-		return
+		return nil, store.Outcome{}, false
 	}
-	result := res.Apps[0].Result
-	if err := s.st.PutResultCtx(ctx, item.id, s.fp, result); err != nil {
-		wsp.SetError(err)
-		s.recordFailure(item.id, err.Error())
-		if s.log != nil {
-			s.log.Error("persisting result failed", "request_id", item.reqID, "id", string(item.id), "err", err)
-		}
-		return
-	}
-	if expl := res.Apps[0].Explanation; expl != nil {
-		size, err := s.st.PutExplanation(item.id, s.fp, expl)
-		if err != nil {
-			// The result is durable; a lost explanation only degrades
-			// inspectability, so log and continue rather than fail the trace.
-			if s.log != nil {
-				s.log.Error("persisting explanation failed", "request_id", item.reqID, "id", string(item.id), "err", err)
-			}
-		} else {
-			s.exMetrics.Observe(expl.EvidenceCount(), expl.NearMissCount(), size)
-		}
-	}
-	s.cacheMisses.Inc()
-	s.ix.AddCtx(ctx, item.id, result.Categories)
-	if s.cluster != nil {
-		// Replicas never re-categorize: ship them the result.
-		s.cluster.pushResult(item.reqID, item.id)
-	}
-	if s.log != nil {
-		s.log.Debug("trace categorized", "request_id", item.reqID, "id", string(item.id),
-			"categories", len(result.Categories), "dur", time.Since(start))
-	}
+	app := res.Apps[0]
+	return ctx, store.Outcome{ID: item.id, Result: app.Result, Explanation: app.Explanation}, true
 }
 
 // Shutdown drains the service gracefully, mirroring dist.Server: stop
@@ -842,8 +908,9 @@ func (s *Server) ingestOne(ctx context.Context, name string, data []byte, reqID 
 	reqtrace.AddSpan(ctx, "ingest.decode", dstart, time.Since(dstart),
 		reqtrace.Int("bytes", int64(len(data))))
 	// Durability before acknowledgment: once the blob is stored, the
-	// trace survives any crash (backfill completes it).
-	if _, _, err := s.st.PutTraceBytesCtx(ctx, canonical); err != nil {
+	// trace survives any crash (backfill completes it). TraceKey already
+	// hashed the canonical bytes, so the keyed put skips a second pass.
+	if _, err := s.st.PutTraceBatchKeyedCtx(ctx, []store.TraceID{id}, [][]byte{canonical}); err != nil {
 		return IngestItem{Name: name, ID: id, Status: StatusRejected, Error: err.Error()}
 	}
 	return s.queueTrace(ctx, name, id, job, reqID)
@@ -1009,6 +1076,15 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
+	}
+	if s.st.HasTrace(id) {
+		// Durably stored but not queued yet (startup backfill has not
+		// reached it, or a replica awaits its owner's result push): it
+		// will be categorized, so it is not an unknown trace.
+		writeJSON(w, http.StatusAccepted, struct {
+			Status string `json:"status"`
+		}{Status: "stored"})
+		return
 	}
 	writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown trace"})
 }

@@ -113,6 +113,19 @@ func waitResult(t *testing.T, url string, id store.TraceID) string {
 	return ""
 }
 
+// waitIdle polls until no trace is queued or in a worker: every
+// categorized trace is then persisted and indexed.
+func waitIdle(t *testing.T, s *Server) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for s.PendingCount() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d traces still pending", s.PendingCount())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestServeIngestResultQueryStats(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 2, QueueDepth: 16})
 	defer s.Shutdown(context.Background())
@@ -416,6 +429,9 @@ func TestServeBackfillHealsMissingResults(t *testing.T) {
 	for _, id := range ids {
 		waitResult(t, ts.URL, id)
 	}
+	// A readable result precedes its index publish: wait until every
+	// trace has left the worker before counting the index.
+	waitIdle(t, s)
 	if got := s.Index().Len(); got != 5 {
 		t.Fatalf("backfill indexed %d traces, want 5", got)
 	}

@@ -16,17 +16,20 @@ import (
 	"github.com/mosaic-hpc/mosaic/internal/store"
 )
 
-// waitRecorded polls the flight recorder until n traces have completed.
-func waitRecorded(t *testing.T, rec *reqtrace.Recorder, n int64) {
+// waitTraceRecorded polls the flight recorder until the trace with the
+// given ID has completed into it — and so has its dump, if any, written.
+// Waiting on a count instead races with other requests' traces (result
+// polls complete too).
+func waitTraceRecorded(t *testing.T, rec *reqtrace.Recorder, id reqtrace.TraceID) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		if rec.Recorded() >= n {
+		if _, ok := rec.Get(id.String()); ok {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("recorder stuck at %d traces, want %d", rec.Recorded(), n)
+	t.Fatalf("trace %s never completed into the recorder", id)
 }
 
 func TestTraceparentEchoAndPropagation(t *testing.T) {
@@ -99,7 +102,7 @@ func TestSlowIngestProducesFlightDump(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitResult(t, ts.URL, id)
-	waitRecorded(t, rec, 1)
+	waitTraceRecorded(t, rec, tid)
 
 	// The ingest trace finalized after its async work; its dump must
 	// contain the full path edge → queue wait → engine → commit → index.
@@ -235,7 +238,7 @@ func TestBatchIngestItemSpansAndRequestID(t *testing.T) {
 		}
 		waitResult(t, ts.URL, id)
 	}
-	waitRecorded(t, rec, 1)
+	waitTraceRecorded(t, rec, tid)
 
 	det, ok := rec.Get(tid.String())
 	if !ok {

@@ -60,15 +60,20 @@ func (e *CachingExecutor) Categorize(ctx context.Context, j *darshan.Job, cfg co
 		return nil, err
 	}
 	e.misses.Add(1)
-	if e.StoreTraces {
-		if _, _, err := e.store.PutTraceBytes(data); err != nil {
-			return nil, err
-		}
-	}
-	if err := e.store.PutResult(id, fp, res); err != nil {
+	if err := e.writeBack(ctx, fp, Outcome{ID: id, Result: res}, data); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// writeBack persists a miss's records — plus the trace blob when
+// StoreTraces is set — in one put: one write, one durable commit.
+func (e *CachingExecutor) writeBack(ctx context.Context, fp string, o Outcome, blob []byte) error {
+	if e.StoreTraces {
+		o.Trace = blob
+	}
+	_, err := e.store.PutOutcomes(ctx, fp, []Outcome{o})
+	return err
 }
 
 // CategorizeExplained implements engine.ExplainExecutor: a warm hit
@@ -110,18 +115,12 @@ func (e *CachingExecutor) CategorizeExplained(ctx context.Context, j *darshan.Jo
 		return nil, nil, err
 	}
 	e.misses.Add(1)
-	if e.StoreTraces {
-		if _, _, err := e.store.PutTraceBytes(data); err != nil {
-			return nil, nil, err
-		}
-	}
+	o := Outcome{ID: id, Explanation: expl}
 	if !haveRes {
-		if err := e.store.PutResult(id, fp, fresh); err != nil {
-			return nil, nil, err
-		}
+		o.Result = fresh
 		res = fresh
 	}
-	if _, err := e.store.PutExplanation(id, fp, expl); err != nil {
+	if err := e.writeBack(ctx, fp, o, data); err != nil {
 		return nil, nil, err
 	}
 	return res, expl, nil

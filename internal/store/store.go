@@ -108,10 +108,10 @@ type Options struct {
 	CacheBytes int64
 	// Sync makes every Put durable before it returns: an append is only
 	// acknowledged after an fsync covering it. Syncs are group-committed —
-	// concurrent writers (and every record of a PutTraceBatch) share one
-	// fsync, so durability costs one disk flush per batch, not per
-	// record. Without Sync the log is still crash-consistent (torn tails
-	// are dropped on recovery).
+	// concurrent writers (and every record of one PutTraceBatch or
+	// PutOutcomes call) share one fsync, so durability costs one disk
+	// flush per batch, not per record. Without Sync the log is still
+	// crash-consistent (torn tails are dropped on recovery).
 	Sync bool
 }
 
@@ -433,38 +433,96 @@ func (s *Store) trimWbuf(buf []byte) {
 	}
 }
 
-// appendLocked stages, writes and indexes one framed record, returning
-// its sequence number. Callers hold s.mu; when Options.Sync is set they
-// must call waitDurable(seq) after releasing it — acknowledgment before
-// durability is the group-commit protocol's only caller obligation.
-func (s *Store) appendLocked(kind byte, key string, value []byte) (int64, error) {
-	if s.closed {
-		return 0, fmt.Errorf("store: closed")
-	}
-	if err := checkRecord(key, value); err != nil {
-		return 0, err
-	}
-	frame := appendFrame(s.wbuf[:0], kind, key, value)
-	frameLen := int64(len(frame))
-	_, err := s.active.Write(frame)
-	s.trimWbuf(frame)
-	if err != nil {
-		return 0, fmt.Errorf("store: appending record: %w", err)
-	}
-	s.indexPut(key, loc{
-		seg:    len(s.readers),
-		valOff: s.size + frameHeaderLen + framePayloadMin + int64(len(key)),
-		valLen: len(value),
-	})
-	s.size += frameLen
-	s.seq++
-	seq := s.seq
-	if s.size >= s.opts.MaxSegmentBytes {
-		if err := s.openSegment(len(s.readers) + 1); err != nil {
-			return seq, err
+// record is one key/value frame for put.
+type record struct {
+	kind  byte
+	key   string
+	value []byte
+}
+
+// put is the store's one write path. It frames every record of recs
+// into s.wbuf, appends them with a single write(2), indexes them,
+// rotates the segment when it is full, and acknowledges them with one
+// commitCtx call: one group-committed fsync under Options.Sync, traced
+// as a "store.commit" span of the given kind.
+//
+// Trace records are content-addressed and written once: one whose key
+// is already stored, or staged earlier in recs, is skipped and flagged
+// in dup, which must then have len(recs); the put still waits until the
+// log is durable up to now, so a duplicate is never acknowledged ahead
+// of the frame that stored it. Result and explanation records are
+// last-write-wins and enter the read cache. Every record is validated
+// before anything is staged, so an invalid one appends and indexes
+// nothing.
+func (s *Store) put(ctx context.Context, kind string, recs []record, dup []bool) error {
+	for _, r := range recs {
+		if err := checkRecord(r.key, r.value); err != nil {
+			return err
 		}
 	}
-	return seq, nil
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return fmt.Errorf("store: closed")
+	}
+	buf := s.wbuf[:0]
+	var staged map[string]struct{} // trace keys staged by a multi-record put
+	for i, r := range recs {
+		if r.kind == kindTrace {
+			_, stored := s.index[r.key]
+			_, twice := staged[r.key]
+			if stored || twice {
+				dup[i] = true
+				continue
+			}
+			if len(recs) > 1 {
+				if staged == nil {
+					staged = make(map[string]struct{}, len(recs))
+				}
+				staged[r.key] = struct{}{}
+			}
+		}
+		buf = appendFrame(buf, r.kind, r.key, r.value)
+	}
+	written := int64(len(buf))
+	if written > 0 {
+		if _, err := s.active.Write(buf); err != nil {
+			s.trimWbuf(buf)
+			// Drop whatever part of the group reached the file, so the
+			// next append starts where the index expects it.
+			_ = s.active.Truncate(s.size)
+			s.mu.Unlock()
+			return fmt.Errorf("store: appending records: %w", err)
+		}
+	}
+	s.trimWbuf(buf)
+	seg, off, frames := len(s.readers), s.size, int64(0)
+	for i, r := range recs {
+		if r.kind == kindTrace && dup[i] {
+			continue
+		}
+		valOff := off + frameHeaderLen + framePayloadMin + int64(len(r.key))
+		s.indexPut(r.key, loc{seg: seg, valOff: valOff, valLen: len(r.value)})
+		off = valOff + int64(len(r.value)) + frameCRCLen
+		frames++
+	}
+	s.size = off
+	s.seq += frames
+	seq := s.seq
+	var rotateErr error
+	if s.size >= s.opts.MaxSegmentBytes {
+		rotateErr = s.openSegment(len(s.readers) + 1)
+	}
+	s.mu.Unlock()
+	for _, r := range recs {
+		if r.kind != kindTrace {
+			s.cache.put(r.key, r.value)
+		}
+	}
+	if rotateErr != nil {
+		return rotateErr
+	}
+	return s.commitCtx(ctx, seq, kind, frames, written)
 }
 
 // waitDurable blocks until the durable watermark covers seq: the heart
@@ -562,24 +620,15 @@ func (s *Store) PutTraceBytes(data []byte) (TraceID, bool, error) {
 // "store.commit" span. Untraced contexts pay nothing.
 func (s *Store) PutTraceBytesCtx(ctx context.Context, data []byte) (TraceID, bool, error) {
 	id := HashBytes(data)
-	key := traceKeyOf(id)
-	s.mu.Lock()
-	if _, ok := s.index[key]; ok {
-		s.mu.Unlock()
-		return id, true, nil
-	}
-	seq, err := s.appendLocked(kindTrace, key, data)
-	s.mu.Unlock()
-	if err != nil {
-		return id, false, err
-	}
-	return id, false, s.commitCtx(ctx, seq, "traces", 1, int64(len(data)))
+	var dup [1]bool
+	err := s.put(ctx, "traces", []record{{kindTrace, traceKeyOf(id), data}}, dup[:])
+	return id, dup[0], err
 }
 
-// commitCtx acknowledges one append: under Options.Sync it blocks in
+// commitCtx acknowledges one put: under Options.Sync it blocks in
 // waitDurable until the group-commit watermark covers seq. When ctx
 // carries an active request trace the wait is recorded as a
-// "store.commit" span annotated with the record count, payload bytes
+// "store.commit" span annotated with the frame count, frame bytes
 // and how many leader fsyncs the store issued while this commit
 // waited (group_syncs — 0 means the cohort rode someone else's
 // flush). The traced-ness check runs first so untraced callers (the
@@ -618,27 +667,21 @@ func (s *Store) commitCtx(ctx context.Context, seq int64, kind string, records, 
 // present (in the store, or earlier in the same batch). On error,
 // nothing from the batch is acknowledged.
 func (s *Store) PutTraceBatch(blobs [][]byte) ([]TraceID, []bool, error) {
-	return s.PutTraceBatchCtx(context.Background(), blobs)
-}
-
-// PutTraceBatchCtx is PutTraceBatch under a request-trace context: the
-// batch's group commit (one staged write, one shared fsync) is
-// recorded as a "store.commit" span annotated with the batch size.
-func (s *Store) PutTraceBatchCtx(ctx context.Context, blobs [][]byte) ([]TraceID, []bool, error) {
 	ids := make([]TraceID, len(blobs))
 	for i, b := range blobs {
 		ids[i] = HashBytes(b)
 	}
-	dup, err := s.putTraceBatchKeyed(ctx, ids, blobs)
+	dup, err := s.putTraceBatchKeyed(context.Background(), ids, blobs)
 	return ids, dup, err
 }
 
-// PutTraceBatchKeyedCtx is PutTraceBatchCtx for callers that already
-// hold each blob's content address: the SHA-256 pass over every blob
-// is skipped. The IDs are trusted, not re-derived — the cluster
-// protocol computes them once at the entry node from the canonical
-// encoding it forwards — so this must never be fed IDs from outside
-// that protocol.
+// PutTraceBatchKeyedCtx is PutTraceBatch for callers that already
+// hold each blob's content address, under a request-trace context: the
+// SHA-256 pass over every blob is skipped, and the batch's group commit
+// is recorded as one "store.commit" span. The IDs are trusted, not
+// re-derived, so they must come from TraceKey over the same canonical
+// bytes — in this process, or at the cluster entry node that forwards
+// the blob with its ID — and never from outside that protocol.
 func (s *Store) PutTraceBatchKeyedCtx(ctx context.Context, ids []TraceID, blobs [][]byte) ([]bool, error) {
 	if len(ids) != len(blobs) {
 		return nil, fmt.Errorf("store: keyed batch: %d ids for %d blobs", len(ids), len(blobs))
@@ -652,69 +695,12 @@ func (s *Store) PutTraceBatchKeyedCtx(ctx context.Context, ids []TraceID, blobs 
 }
 
 func (s *Store) putTraceBatchKeyed(ctx context.Context, ids []TraceID, blobs [][]byte) ([]bool, error) {
-	dup := make([]bool, len(blobs))
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return dup, fmt.Errorf("store: closed")
-	}
-	buf := s.wbuf[:0]
-	type staged struct {
-		key    string
-		valOff int64
-		valLen int
-	}
-	frames := make([]staged, 0, len(blobs))
-	seen := make(map[TraceID]bool, len(blobs))
-	base := s.size
+	recs := make([]record, len(blobs))
 	for i, b := range blobs {
-		key := traceKeyOf(ids[i])
-		if _, ok := s.index[key]; ok || seen[ids[i]] {
-			dup[i] = true
-			continue
-		}
-		if err := checkRecord(key, b); err != nil {
-			s.trimWbuf(buf)
-			s.mu.Unlock()
-			return dup, err
-		}
-		seen[ids[i]] = true
-		frameOff := base + int64(len(buf))
-		buf = appendFrame(buf, kindTrace, key, b)
-		frames = append(frames, staged{
-			key:    key,
-			valOff: frameOff + frameHeaderLen + framePayloadMin + int64(len(key)),
-			valLen: len(b),
-		})
+		recs[i] = record{kindTrace, traceKeyOf(ids[i]), b}
 	}
-	if len(frames) == 0 {
-		s.trimWbuf(buf)
-		s.mu.Unlock()
-		return dup, nil
-	}
-	written := int64(len(buf))
-	_, err := s.active.Write(buf)
-	s.trimWbuf(buf)
-	if err != nil {
-		s.mu.Unlock()
-		return dup, fmt.Errorf("store: appending batch: %w", err)
-	}
-	seg := len(s.readers)
-	for _, fr := range frames {
-		s.indexPut(fr.key, loc{seg: seg, valOff: fr.valOff, valLen: fr.valLen})
-	}
-	s.size += written
-	s.seq += int64(len(frames))
-	seq := s.seq
-	var rotateErr error
-	if s.size >= s.opts.MaxSegmentBytes {
-		rotateErr = s.openSegment(len(s.readers) + 1)
-	}
-	s.mu.Unlock()
-	if rotateErr != nil {
-		return dup, rotateErr
-	}
-	return dup, s.commitCtx(ctx, seq, "traces", int64(len(frames)), written)
+	dup := make([]bool, len(blobs))
+	return dup, s.put(ctx, "traces", recs, dup)
 }
 
 // PutTrace canonically encodes and stores a job.
@@ -775,15 +761,7 @@ func (s *Store) PutResultCtx(ctx context.Context, id TraceID, fp string, res *co
 	if err != nil {
 		return fmt.Errorf("store: encoding result %s: %w", id, err)
 	}
-	key := resultKeyOf(id, fp)
-	s.mu.Lock()
-	seq, err := s.appendLocked(kindResult, key, data)
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.cache.put(key, data)
-	return s.commitCtx(ctx, seq, "result", 1, int64(len(data)))
+	return s.put(ctx, "result", []record{{kindResult, resultKeyOf(id, fp), data}}, nil)
 }
 
 // PutResultBytesCtx stores an already-serialized result verbatim — the
@@ -795,15 +773,7 @@ func (s *Store) PutResultBytesCtx(ctx context.Context, id TraceID, fp string, da
 	if _, err := DecodeResult(data); err != nil {
 		return err
 	}
-	key := resultKeyOf(id, fp)
-	s.mu.Lock()
-	seq, err := s.appendLocked(kindResult, key, data)
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.cache.put(key, data)
-	return s.commitCtx(ctx, seq, "result", 1, int64(len(data)))
+	return s.put(ctx, "result", []record{{kindResult, resultKeyOf(id, fp), data}}, nil)
 }
 
 // GetResultBytes returns the stored result encoding of (trace,
@@ -833,20 +803,62 @@ func (s *Store) PutExplanation(id TraceID, fp string, e *explain.Explanation) (i
 	if err != nil {
 		return 0, fmt.Errorf("store: encoding explanation %s: %w", id, err)
 	}
-	key := explainKeyOf(id, fp)
-	s.mu.Lock()
-	seq, err := s.appendLocked(kindExplain, key, data)
-	s.mu.Unlock()
+	err = s.put(context.Background(), "explanation", []record{{kindExplain, explainKeyOf(id, fp), data}}, nil)
 	if err != nil {
 		return 0, err
 	}
-	s.cache.put(key, data)
-	if s.opts.Sync {
-		if err := s.waitDurable(seq); err != nil {
-			return 0, err
+	return len(data), nil
+}
+
+// Outcome is what categorizing one trace produced, for PutOutcomes: its
+// result and, when explanations are collected, its explanation, both
+// stored under (ID, config fingerprint). Trace optionally carries the
+// trace's canonical blob, stored unless already present and trusted to
+// hash to ID (see PutTraceBatchKeyedCtx). A nil Result or Explanation is
+// not written.
+type Outcome struct {
+	ID          TraceID
+	Trace       []byte
+	Result      *core.Result
+	Explanation *explain.Explanation
+}
+
+// PutOutcomes stores the records of many categorized traces — each
+// one's result plus its optional trace blob and explanation — with one
+// write and one durable commit, traced as a single "store.commit" span
+// (kind=outcomes). Nothing is written when any outcome is invalid. It
+// returns each outcome's encoded explanation size (0 where it has
+// none), which feeds the explanation-size telemetry.
+func (s *Store) PutOutcomes(ctx context.Context, fp string, outs []Outcome) ([]int, error) {
+	recs := make([]record, 0, 2*len(outs))
+	sizes := make([]int, len(outs))
+	for i, o := range outs {
+		if !o.ID.Valid() {
+			return nil, fmt.Errorf("store: outcome %d: invalid trace ID %q", i, string(o.ID))
+		}
+		if o.Trace != nil {
+			recs = append(recs, record{kindTrace, traceKeyOf(o.ID), o.Trace})
+		}
+		if o.Result != nil {
+			data, err := json.Marshal(o.Result)
+			if err != nil {
+				return nil, fmt.Errorf("store: encoding result %s: %w", o.ID, err)
+			}
+			recs = append(recs, record{kindResult, resultKeyOf(o.ID, fp), data})
+		}
+		if o.Explanation != nil {
+			data, err := json.Marshal(o.Explanation)
+			if err != nil {
+				return nil, fmt.Errorf("store: encoding explanation %s: %w", o.ID, err)
+			}
+			recs = append(recs, record{kindExplain, explainKeyOf(o.ID, fp), data})
+			sizes[i] = len(data)
 		}
 	}
-	return len(data), nil
+	if err := s.put(ctx, "outcomes", recs, make([]bool, len(recs))); err != nil {
+		return nil, err
+	}
+	return sizes, nil
 }
 
 // GetExplanation returns the stored explanation of (trace,
